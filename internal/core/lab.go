@@ -91,12 +91,12 @@ func (l *Lab) Plan() *traffic.AddressPlan { return l.cfg.Plan }
 func (l *Lab) Store() *datastore.Store { return l.store }
 
 // SaveSnapshot writes the lab's collected data to path crash-safely:
-// checksummed, fsynced, and atomically renamed into place, so a crash
-// mid-save never clobbers the previous snapshot. When the store has a WAL
-// attached, the log the snapshot now covers is truncated in the same
-// critical section (see Store.Checkpoint).
+// checksummed, fsynced, atomically renamed into place and the directory
+// fsynced, so a crash mid-save never clobbers the previous snapshot (see
+// Store.SaveFile). A lab's store has no WAL, so there is no log to
+// truncate.
 func (l *Lab) SaveSnapshot(path string) error {
-	return l.store.Checkpoint(path)
+	return l.store.SaveFile(path)
 }
 
 // RestoreSnapshot replaces the lab's store with the snapshot at path.

@@ -32,12 +32,7 @@ import (
 // segments on disk and the next recovery would replay every acked batch
 // since the previous checkpoint twice.
 
-// SnapshotName is the legacy (pre-watermark) checkpoint file name. Recover
-// still reads it — as covering no WAL segment — from directories written
-// before checkpoints were coverage-stamped.
-const SnapshotName = "snapshot.clds"
-
-// snapSuffix ends every checkpoint file name, stamped or legacy.
+// snapSuffix ends every checkpoint file name.
 const snapSuffix = ".clds"
 
 // snapName formats a coverage-stamped checkpoint name; names sort in
@@ -46,7 +41,7 @@ func snapName(covered uint64) string {
 	return fmt.Sprintf("snapshot-%016x%s", covered, snapSuffix)
 }
 
-// parseSnapName inverts snapName; ok=false for legacy and foreign files.
+// parseSnapName inverts snapName; ok=false for foreign files.
 func parseSnapName(name string) (uint64, bool) {
 	const prefix = "snapshot-"
 	if !strings.HasPrefix(name, prefix) || !strings.HasSuffix(name, snapSuffix) {
@@ -63,29 +58,23 @@ func parseSnapName(name string) (uint64, bool) {
 	return covered, true
 }
 
-// findSnapshot picks the checkpoint Recover loads: the stamped snapshot
-// with the highest covered sequence wins (an interrupted checkpoint can
-// leave older ones behind); a legacy bare snapshot.clds is used only when
-// no stamped one exists, covering nothing.
+// findSnapshot picks the checkpoint Recover loads: the snapshot with the
+// highest covered sequence wins (an interrupted checkpoint can leave
+// older ones behind).
 func findSnapshot(dir string) (path string, covered uint64, ok bool, err error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
 		return "", 0, false, err
 	}
-	found := false
 	for _, e := range ents {
-		if c, stamped := parseSnapName(e.Name()); stamped && (!found || c > covered) {
-			covered, found = c, true
+		if c, stamped := parseSnapName(e.Name()); stamped && (!ok || c > covered) {
+			covered, ok = c, true
 		}
 	}
-	if found {
-		return filepath.Join(dir, snapName(covered)), covered, true, nil
+	if !ok {
+		return "", 0, false, nil
 	}
-	legacy := filepath.Join(dir, SnapshotName)
-	if _, serr := os.Stat(legacy); serr == nil {
-		return legacy, 0, true, nil
-	}
-	return "", 0, false, nil
+	return filepath.Join(dir, snapName(covered)), covered, true, nil
 }
 
 // DurableConfig parameterizes a durable store directory.
@@ -232,16 +221,8 @@ func reshard(st *Store, shards int) *Store {
 		// may span cold segments a v3 snapshot overlaid) remain valid —
 		// carry them over instead of keeping the hot-only rebuild.
 		for _, src := range st.shards {
-			for key, fm := range src.flows {
-				sh := out.shards[key.Hash()&out.mask]
-				if old, ok := sh.flows[key]; ok {
-					if d := len(fm.pktIDs) - len(old.pktIDs); d > 0 {
-						sh.indexBytes += 8 * uint64(d)
-					}
-				} else {
-					sh.indexBytes += 96 + 8*uint64(len(fm.pktIDs))
-				}
-				sh.flows[key] = fm
+			for _, fm := range src.flows {
+				out.overlayFlow(fm)
 			}
 		}
 	}
@@ -311,41 +292,18 @@ func (s *Store) FlushWAL() error {
 	return w.Flush()
 }
 
-// Checkpoint writes a crash-safe snapshot to path and, when a WAL is
-// attached, truncates the log it now covers. Ingest is excluded for the
-// duration (the ingest mutex), so no batch can land in the truncated log
-// without being in the snapshot — the invariant recovery depends on.
-// Without a WAL this is exactly SaveFile.
-//
-// For a durable directory Recover reads, use CheckpointDir instead: it
-// stamps the snapshot with the covered WAL sequence, so a crash between
-// the snapshot rename and the end of truncation cannot make recovery
-// replay covered segments on top of the snapshot that contains them.
-func (s *Store) Checkpoint(path string) error {
-	s.ingestMu.Lock()
-	defer s.ingestMu.Unlock()
-	return s.checkpointLocked(path)
-}
-
-// checkpointLocked is Checkpoint under an already-held ingest mutex.
-func (s *Store) checkpointLocked(path string) error {
-	if err := s.SaveFile(path); err != nil {
-		return err
-	}
-	if w := s.wal.Load(); w != nil {
-		return w.Truncate()
-	}
-	return nil
-}
-
-// CheckpointDir checkpoints into the durable directory layout Recover
-// reads: the snapshot lands under a name embedding the WAL segment
-// sequence it covers (snapName), published together with that watermark
-// by SaveFile's one atomic rename, then the covered log is truncated and
-// older snapshot files are swept. A crash at any point leaves either the
-// previous snapshot plus the full log, or the new snapshot plus only
-// newer segments — never a state where recovery replays a record the
-// loaded snapshot already contains.
+// CheckpointDir is the one place that writes a checkpoint and truncates
+// the WAL. The snapshot lands in the durable directory layout Recover
+// reads, under a name embedding the WAL segment sequence it covers
+// (snapName), published together with that watermark by SaveFile's one
+// atomic rename. Only once SaveFile reports the snapshot durable — its
+// directory sync included — is the covered log truncated and older
+// snapshot files swept. A crash at any point leaves either the previous
+// snapshot plus the full log, or the new snapshot plus only newer
+// segments — never a state where recovery replays a record the loaded
+// snapshot already contains. Ingest is excluded for the duration (the
+// ingest mutex), so no batch can land in the truncated log without being
+// in the snapshot.
 func (s *Store) CheckpointDir(dir string) error {
 	s.ingestMu.Lock()
 	defer s.ingestMu.Unlock()
@@ -356,8 +314,13 @@ func (s *Store) CheckpointDir(dir string) error {
 		// snapshot and truncation are done.
 		covered = w.seq
 	}
-	if err := s.checkpointLocked(filepath.Join(dir, snapName(covered))); err != nil {
+	if err := s.SaveFile(filepath.Join(dir, snapName(covered))); err != nil {
 		return err
+	}
+	if w := s.wal.Load(); w != nil {
+		if err := w.Truncate(); err != nil {
+			return err
+		}
 	}
 	sweepSnapshots(dir, covered)
 	return nil
@@ -372,7 +335,7 @@ func sweepSnapshots(dir string, covered uint64) {
 		return
 	}
 	for _, e := range ents {
-		if c, stamped := parseSnapName(e.Name()); (stamped && c < covered) || e.Name() == SnapshotName {
+		if c, stamped := parseSnapName(e.Name()); stamped && c < covered {
 			os.Remove(filepath.Join(dir, e.Name()))
 		}
 	}
@@ -392,9 +355,9 @@ func (s *Store) CloseWAL() error {
 	return err
 }
 
-// RemoveStaleTemps sweeps temp files a killed SaveFile left behind in dir
-// (base+".tmp*" — see SaveFile). Only call on directories this package
-// owns. Returns how many were removed.
+// RemoveStaleTemps sweeps temp files a killed durable write left behind
+// in dir (base+".tmp*" — see writeFileDurable). Only call on directories
+// this package owns. Returns how many were removed.
 func RemoveStaleTemps(dir, base string) int {
 	matches, err := filepath.Glob(filepath.Join(dir, base+".tmp*"))
 	if err != nil {

@@ -61,9 +61,9 @@ var ErrBadSnapshot = errors.New("datastore: bad snapshot")
 // against either sentinel.
 var ErrChecksum = fmt.Errorf("%w: checksum mismatch", ErrBadSnapshot)
 
-// SetFaultInjector points SaveFile's write/sync/rename steps at a fault
-// injector (nil restores always-healthy) so crash-safety tests can kill a
-// snapshot save midway.
+// SetFaultInjector points SaveFile's write, fsync, rename and directory
+// fsync steps at a fault injector (nil restores always-healthy) so
+// crash-safety tests can kill a snapshot save midway.
 func (s *Store) SetFaultInjector(inj faults.Injector) { s.persistFaults = inj }
 
 // crcWriter accumulates a CRC32 over everything written through it.
@@ -366,6 +366,20 @@ func readFlowMeta(cr *crcReader) (*FlowMeta, error) {
 	return fm, nil
 }
 
+// overlayFlow installs a persisted flow aggregate over whatever re-ingest
+// rebuilt for its key, keeping the shard's index accounting in step.
+func (s *Store) overlayFlow(fm *FlowMeta) {
+	sh := s.shards[fm.Key.Hash()&s.mask]
+	if old, ok := sh.flows[fm.Key]; ok {
+		if d := len(fm.pktIDs) - len(old.pktIDs); d > 0 {
+			sh.indexBytes += 8 * uint64(d)
+		}
+	} else {
+		sh.indexBytes += 96 + 8*uint64(len(fm.pktIDs))
+	}
+	sh.flows[fm.Key] = fm
+}
+
 // writeCRC emits cw's accumulated section checksum (bypassing cw so the
 // checksum doesn't checksum itself) and resets it for the next section.
 func writeCRC(w io.Writer, cw *crcWriter) error {
@@ -514,15 +528,7 @@ func Load(r io.Reader) (*Store, error) {
 			if err != nil {
 				return nil, fmt.Errorf("%w: flow %d: %v", ErrBadSnapshot, i, err)
 			}
-			sh := st.shards[fm.Key.Hash()&st.mask]
-			if old, ok := sh.flows[fm.Key]; ok {
-				if d := len(fm.pktIDs) - len(old.pktIDs); d > 0 {
-					sh.indexBytes += 8 * uint64(d)
-				}
-			} else {
-				sh.indexBytes += 96 + 8*uint64(len(fm.pktIDs))
-			}
-			sh.flows[fm.Key] = fm
+			st.overlayFlow(fm)
 		}
 		if err := checkCRC(br, cr, "flows"); err != nil {
 			return nil, err
@@ -534,8 +540,8 @@ func Load(r io.Reader) (*Store, error) {
 	return st, nil
 }
 
-// faultWriter consults the store's injector before every write, so a
-// scripted schedule can kill a snapshot save at an exact byte boundary.
+// faultWriter consults an injector before every write, so a scripted
+// schedule can kill a durable write at an exact byte boundary.
 type faultWriter struct {
 	w   io.Writer
 	inj faults.Injector
@@ -548,55 +554,79 @@ func (fw *faultWriter) Write(p []byte) (int, error) {
 	return fw.w.Write(p)
 }
 
-// SaveFile writes a crash-safe snapshot to path: the stream goes to a
-// temp file in the same directory, is fsynced, and is atomically renamed
-// over path. A crash (or injected fault) at any point leaves either the
-// old snapshot or the new one at path — never a truncated hybrid.
-func (s *Store) SaveFile(path string) (err error) {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
+// writeBytes adapts an in-memory blob to writeFileDurable's callback.
+func writeBytes(b []byte) func(io.Writer) error {
+	return func(w io.Writer) error {
+		_, err := w.Write(b)
+		return err
+	}
+}
+
+// writeFileDurable is the one routine that publishes a file in this
+// package (snapshots, tier segments, the tier manifest). write streams
+// the contents into a temp file beside dir/name; the temp file is
+// fsynced, atomically renamed over name, and the directory is fsynced so
+// the rename itself survives a power cut. A crash at any point leaves
+// either the previous dir/name or the complete new one, never a
+// truncated hybrid. Every failure is returned, the directory sync's
+// included, so a caller never acts on a publish that is not yet durable;
+// failures before the rename also remove the temp file. inj (nil =
+// always healthy) is consulted before every write (OpStoreWrite), both
+// fsyncs (OpStoreSync) and the rename (OpStoreRename).
+func writeFileDurable(dir, name string, inj faults.Injector, write func(io.Writer) error) error {
+	fault := func(op string) error {
+		if inj == nil {
+			return nil
+		}
+		return inj.Fail(op)
+	}
+	f, err := os.CreateTemp(dir, name+".tmp*")
 	if err != nil {
-		return fmt.Errorf("datastore: snapshot temp file: %w", err)
+		return fmt.Errorf("datastore: temp file for %s: %w", name, err)
 	}
-	tmpPath := tmp.Name()
-	defer func() {
-		if err != nil {
-			tmp.Close()
-			os.Remove(tmpPath)
-		}
-	}()
-	var w io.Writer = tmp
-	if s.persistFaults != nil {
-		w = &faultWriter{w: tmp, inj: s.persistFaults}
+	tmp := f.Name()
+	fail := func(step string, err error) error {
+		f.Close()
+		os.Remove(tmp)
+		return fmt.Errorf("datastore: %s %s: %w", step, name, err)
 	}
-	if err = s.Save(w); err != nil {
-		return fmt.Errorf("datastore: snapshot write: %w", err)
+	var w io.Writer = f
+	if inj != nil {
+		w = &faultWriter{w: f, inj: inj}
 	}
-	if s.persistFaults != nil {
-		if err = s.persistFaults.Fail(faults.OpStoreSync); err != nil {
-			return fmt.Errorf("datastore: snapshot sync: %w", err)
-		}
+	if err := write(w); err != nil {
+		return fail("write", err)
 	}
-	if err = tmp.Sync(); err != nil {
-		return fmt.Errorf("datastore: snapshot sync: %w", err)
+	if err := fault(faults.OpStoreSync); err != nil {
+		return fail("sync", err)
 	}
-	if err = tmp.Close(); err != nil {
-		return fmt.Errorf("datastore: snapshot close: %w", err)
+	if err := f.Sync(); err != nil {
+		return fail("sync", err)
 	}
-	if s.persistFaults != nil {
-		if err = s.persistFaults.Fail(faults.OpStoreRename); err != nil {
-			return fmt.Errorf("datastore: snapshot rename: %w", err)
-		}
+	if err := f.Close(); err != nil {
+		return fail("close", err)
 	}
-	if err = os.Rename(tmpPath, path); err != nil {
-		return fmt.Errorf("datastore: snapshot rename: %w", err)
+	if err := fault(faults.OpStoreRename); err != nil {
+		return fail("rename", err)
 	}
-	// Best-effort directory sync so the rename itself is durable.
-	if d, derr := os.Open(dir); derr == nil {
-		d.Sync()
-		d.Close()
+	if err := os.Rename(tmp, filepath.Join(dir, name)); err != nil {
+		return fail("rename", err)
+	}
+	if err := fault(faults.OpStoreSync); err != nil {
+		return fmt.Errorf("datastore: sync directory of %s: %w", name, err)
+	}
+	if err := syncDir(dir); err != nil {
+		return fmt.Errorf("datastore: sync directory of %s: %w", name, err)
 	}
 	return nil
+}
+
+// SaveFile writes a crash-safe snapshot to path through writeFileDurable,
+// streaming Save's output straight into the temp file. A crash (or
+// injected fault) at any point leaves either the old snapshot or the new
+// one at path — never a truncated hybrid.
+func (s *Store) SaveFile(path string) error {
+	return writeFileDurable(filepath.Dir(path), filepath.Base(path), s.persistFaults, s.Save)
 }
 
 // LoadFile reads a snapshot file written by SaveFile.

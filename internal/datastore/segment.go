@@ -32,9 +32,7 @@ import (
 //	  2 ts     first TS zigzag varint, then uvarint deltas (TS is
 //	           non-decreasing within a sorted run)
 //	  3 actor  bit-packed, one bit per row, trailing bits zero
-//	  4 data   v1: uvarint total raw bytes, per-row uvarint lengths, then
-//	           one DEFLATE stream of the concatenated packet bytes.
-//	           v2: uvarint block rows | uvarint block count | uvarint total
+//	  4 data   uvarint block rows | uvarint block count | uvarint total
 //	           raw bytes | per-row uvarint lengths | per-block uvarint
 //	           compressed lengths | the blocks' DEFLATE streams,
 //	           concatenated. Block b covers rows [b*blockRows,
@@ -46,12 +44,13 @@ import (
 //	           each with an ascending delta-coded row list; then the six
 //	           boolean-flag lists. The value families partition the rows,
 //	           so this section doubles as the zone map's value sets.
-//	  6 dict   (v2 only) dictionary encoding of the link and label
-//	           columns: per family, uvarint distinct-value count, the
-//	           ascending values, then ceil(log2 n)-bit codes bit-packed
-//	           LSB-first, one per row, trailing bits zero. Gives O(1)
-//	           per-row access for selective decode — the v1 reader instead
-//	           inverts the index column into O(count) scatter arrays.
+//	  6 dict   dictionary encoding of the link and label columns: per
+//	           family, uvarint distinct-value count, the ascending values,
+//	           then ceil(log2 n)-bit codes bit-packed LSB-first, one per
+//	           row, trailing bits zero. Gives O(1) per-row access for
+//	           selective decode.
+//
+// The version field is always 2; any other value is rejected as corrupt.
 //
 // Per-packet Summary metadata is NOT stored: decode re-parses the raw
 // bytes with the same allocation-free parser ingest used, which is
@@ -66,9 +65,8 @@ import (
 // wrapping ErrSegmentCorrupt, never a panic or a silently wrong row.
 
 const (
-	segMagic    = "CLSG"
-	segVersion1 = 1
-	segVersion2 = 2
+	segMagic   = "CLSG"
+	segVersion = 2
 
 	segColIDs   = 1
 	segColTS    = 2
@@ -76,10 +74,10 @@ const (
 	segColData  = 4
 	segColIndex = 5
 	segColDict  = 6
-	segNumCols  = 6 // v2; v1 blobs carry columns 1..5
+	segNumCols  = 6
 
 	segHeaderSize = 48
-	// segBlockRows is the v2 writer's rows per independently-compressed
+	// segBlockRows is the writer's rows per independently-compressed
 	// data block: small enough that a needle query inflates a sliver,
 	// large enough that DEFLATE still sees real context.
 	segBlockRows = 32
@@ -209,19 +207,6 @@ func (ix *segIndex) lookup(ref ixRef) []uint32 {
 	return ix.fams[fi][ref.val]
 }
 
-// scatter inverts one total value family into a per-row value array.
-// Valid only for families validated to partition the rows (decodeIndex
-// enforces this for all five).
-func (ix *segIndex) scatter(fi, count int) []uint64 {
-	out := make([]uint64, count)
-	for v, rows := range ix.fams[fi] {
-		for _, r := range rows {
-			out[r] = v
-		}
-	}
-	return out
-}
-
 // zone derives the resident zone map from a decoded (or freshly built)
 // index.
 func (ix *segIndex) zone() segZone {
@@ -341,7 +326,7 @@ func segDictValue(sp *StoredPacket, fam int) uint64 {
 	return uint64(sp.Label)
 }
 
-// encodeDict serializes the v2 dictionary column for the link and label
+// encodeDict serializes the dictionary column for the link and label
 // families: distinct ascending values, then bit-packed per-row codes.
 func encodeDict(rows []StoredPacket) []byte {
 	var b []byte
@@ -469,21 +454,10 @@ func appendColumn(dst []byte, colID byte, payload []byte) []byte {
 }
 
 // encodeSegment serializes one (TS, ID)-sorted, strictly increasing row
-// run into a CLSG v2 blob (blocked data column + dictionary column),
+// run into a CLSG blob (blocked data column + dictionary column),
 // returning the blob and the resident metadata. The encoding is
 // canonical: the same rows always produce the same bytes.
 func encodeSegment(rows []StoredPacket) ([]byte, segMeta, error) {
-	return encodeSegmentVer(rows, segVersion2)
-}
-
-// encodeSegmentV1 writes the legacy single-stream format, byte-identical
-// to what pre-v2 builds produced — kept so mixed-version tiers stay
-// writable for tests, benchmarks and downgrades.
-func encodeSegmentV1(rows []StoredPacket) ([]byte, segMeta, error) {
-	return encodeSegmentVer(rows, segVersion1)
-}
-
-func encodeSegmentVer(rows []StoredPacket, version uint16) ([]byte, segMeta, error) {
 	var meta segMeta
 	n := len(rows)
 	if n == 0 {
@@ -533,53 +507,27 @@ func encodeSegmentVer(rows []StoredPacket, version uint16) ([]byte, segMeta, err
 			act[i/8] |= 1 << (i % 8)
 		}
 	}
-	var data []byte
-	if version >= segVersion2 {
-		nblocks := (n + segBlockRows - 1) / segBlockRows
-		data = binary.AppendUvarint(nil, segBlockRows)
-		data = binary.AppendUvarint(data, uint64(nblocks))
-		data = binary.AppendUvarint(data, totalRaw)
-		for i := range rows {
-			data = binary.AppendUvarint(data, uint64(len(rows[i].Data)))
+	nblocks := (n + segBlockRows - 1) / segBlockRows
+	data := binary.AppendUvarint(nil, segBlockRows)
+	data = binary.AppendUvarint(data, uint64(nblocks))
+	data = binary.AppendUvarint(data, totalRaw)
+	for i := range rows {
+		data = binary.AppendUvarint(data, uint64(len(rows[i].Data)))
+	}
+	var streams bytes.Buffer
+	compLens := make([]int, nblocks)
+	fw, err := flate.NewWriter(&streams, flate.DefaultCompression)
+	if err != nil {
+		return nil, meta, err
+	}
+	for b := 0; b < nblocks; b++ {
+		start := streams.Len()
+		fw.Reset(&streams)
+		hi := (b + 1) * segBlockRows
+		if hi > n {
+			hi = n
 		}
-		var streams bytes.Buffer
-		compLens := make([]int, nblocks)
-		fw, err := flate.NewWriter(&streams, flate.DefaultCompression)
-		if err != nil {
-			return nil, meta, err
-		}
-		for b := 0; b < nblocks; b++ {
-			start := streams.Len()
-			fw.Reset(&streams)
-			hi := (b + 1) * segBlockRows
-			if hi > n {
-				hi = n
-			}
-			for i := b * segBlockRows; i < hi; i++ {
-				if _, err := fw.Write(rows[i].Data); err != nil {
-					return nil, meta, err
-				}
-			}
-			if err := fw.Close(); err != nil {
-				return nil, meta, err
-			}
-			compLens[b] = streams.Len() - start
-		}
-		for _, cl := range compLens {
-			data = binary.AppendUvarint(data, uint64(cl))
-		}
-		data = append(data, streams.Bytes()...)
-	} else {
-		data = binary.AppendUvarint(nil, totalRaw)
-		for i := range rows {
-			data = binary.AppendUvarint(data, uint64(len(rows[i].Data)))
-		}
-		var blob bytes.Buffer
-		fw, err := flate.NewWriter(&blob, flate.DefaultCompression)
-		if err != nil {
-			return nil, meta, err
-		}
-		for i := range rows {
+		for i := b * segBlockRows; i < hi; i++ {
 			if _, err := fw.Write(rows[i].Data); err != nil {
 				return nil, meta, err
 			}
@@ -587,20 +535,21 @@ func encodeSegmentVer(rows []StoredPacket, version uint16) ([]byte, segMeta, err
 		if err := fw.Close(); err != nil {
 			return nil, meta, err
 		}
-		data = append(data, blob.Bytes()...)
+		compLens[b] = streams.Len() - start
 	}
+	for _, cl := range compLens {
+		data = binary.AppendUvarint(data, uint64(cl))
+	}
+	data = append(data, streams.Bytes()...)
 
 	ix := buildSegIndex(rows)
 	meta.zone = ix.zone()
 	ixb := ix.encode()
-	var dict []byte
-	if version >= segVersion2 {
-		dict = encodeDict(rows)
-	}
+	dict := encodeDict(rows)
 
 	out := make([]byte, 0, segHeaderSize+len(ids)+len(tsc)+len(act)+len(data)+len(ixb)+len(dict)+6*9)
 	out = append(out, segMagic...)
-	out = binary.LittleEndian.AppendUint16(out, version)
+	out = binary.LittleEndian.AppendUint16(out, segVersion)
 	out = binary.LittleEndian.AppendUint16(out, 0)
 	out = binary.LittleEndian.AppendUint32(out, uint32(n))
 	out = binary.LittleEndian.AppendUint64(out, uint64(minID))
@@ -613,9 +562,7 @@ func encodeSegmentVer(rows []StoredPacket, version uint16) ([]byte, segMeta, err
 	out = appendColumn(out, segColActor, act)
 	out = appendColumn(out, segColData, data)
 	out = appendColumn(out, segColIndex, ixb)
-	if version >= segVersion2 {
-		out = appendColumn(out, segColDict, dict)
-	}
+	out = appendColumn(out, segColDict, dict)
 	return out, meta, nil
 }
 
@@ -626,20 +573,12 @@ func encodeSegmentVer(rows []StoredPacket, version uint16) ([]byte, segMeta, err
 // A segBlob is not safe for concurrent use — each query call parses its
 // own.
 type segBlob struct {
-	version      int
 	count        int
 	minID, maxID PacketID
 	minTS, maxTS time.Duration
 	cols         [segNumCols + 1][]byte
 	colSums      [segNumCols + 1]uint32
 	colOK        [segNumCols + 1]bool
-}
-
-func (sb *segBlob) numCols() int {
-	if sb.version == segVersion1 {
-		return 5
-	}
-	return segNumCols
 }
 
 // col returns one column payload, verifying its CRC on first access.
@@ -656,7 +595,7 @@ func (sb *segBlob) col(id int) ([]byte, error) {
 // verifyAll checks every column CRC — the attach-time strictness the
 // lazy query path skips.
 func (sb *segBlob) verifyAll() error {
-	for id := segColIDs; id <= sb.numCols(); id++ {
+	for id := segColIDs; id <= segNumCols; id++ {
 		if _, err := sb.col(id); err != nil {
 			return err
 		}
@@ -675,7 +614,7 @@ func parseSegment(b []byte) (*segBlob, error) {
 		return nil, segErr("bad magic %q", b[:4])
 	}
 	v := binary.LittleEndian.Uint16(b[4:6])
-	if v != segVersion1 && v != segVersion2 {
+	if v != segVersion {
 		return nil, segErr("unsupported version %d", v)
 	}
 	if binary.LittleEndian.Uint16(b[6:8]) != 0 {
@@ -685,18 +624,17 @@ func parseSegment(b []byte) (*segBlob, error) {
 		return nil, segErr("header checksum %08x != %08x", got, want)
 	}
 	sb := &segBlob{
-		version: int(v),
-		count:   int(binary.LittleEndian.Uint32(b[8:12])),
-		minID:   PacketID(binary.LittleEndian.Uint64(b[12:20])),
-		maxID:   PacketID(binary.LittleEndian.Uint64(b[20:28])),
-		minTS:   time.Duration(binary.LittleEndian.Uint64(b[28:36])),
-		maxTS:   time.Duration(binary.LittleEndian.Uint64(b[36:44])),
+		count: int(binary.LittleEndian.Uint32(b[8:12])),
+		minID: PacketID(binary.LittleEndian.Uint64(b[12:20])),
+		maxID: PacketID(binary.LittleEndian.Uint64(b[20:28])),
+		minTS: time.Duration(binary.LittleEndian.Uint64(b[28:36])),
+		maxTS: time.Duration(binary.LittleEndian.Uint64(b[36:44])),
 	}
 	if sb.count <= 0 || sb.count > segMaxCount {
 		return nil, segErr("row count %d out of range", sb.count)
 	}
 	off := segHeaderSize
-	for want := byte(1); want <= byte(sb.numCols()); want++ {
+	for want := byte(1); want <= segNumCols; want++ {
 		if len(b)-off < 9 {
 			return nil, segErr("truncated at column %d frame", want)
 		}
@@ -809,9 +747,7 @@ func (sb *segBlob) decodeActor() ([]byte, error) {
 }
 
 // segData is a parsed (not yet inflated) data column: the per-row raw
-// lengths, the block geometry, and the compressed streams. v1 columns
-// parse as a single block covering every row, so both formats share one
-// selective-decode and cache path.
+// lengths, the block geometry, and the compressed streams.
 type segData struct {
 	count     int
 	blockRows int
@@ -832,25 +768,21 @@ func (sb *segBlob) parseData() (*segData, error) {
 	}
 	r := &segReader{b: payload}
 	d := &segData{count: sb.count}
-	if sb.version >= segVersion2 {
-		br, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		if br == 0 || br > segMaxCount {
-			return nil, segErr("data block rows %d out of range", br)
-		}
-		nb, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		d.blockRows = int(br)
-		d.nblocks = int(nb)
-		if want := (sb.count + d.blockRows - 1) / d.blockRows; d.nblocks != want {
-			return nil, segErr("data column claims %d blocks, geometry needs %d", d.nblocks, want)
-		}
-	} else {
-		d.blockRows, d.nblocks = sb.count, 1
+	br, err := r.uvarint()
+	if err != nil {
+		return nil, err
+	}
+	if br == 0 || br > segMaxCount {
+		return nil, segErr("data block rows %d out of range", br)
+	}
+	nb, err := r.uvarint()
+	if err != nil {
+		return nil, err
+	}
+	d.blockRows = int(br)
+	d.nblocks = int(nb)
+	if want := (sb.count + d.blockRows - 1) / d.blockRows; d.nblocks != want {
+		return nil, segErr("data column claims %d blocks, geometry needs %d", d.nblocks, want)
 	}
 	totalRaw, err := r.uvarint()
 	if err != nil {
@@ -875,26 +807,22 @@ func (sb *segBlob) parseData() (*segData, error) {
 	}
 	d.compOff = make([]int, d.nblocks)
 	d.compLen = make([]int, d.nblocks)
-	if sb.version >= segVersion2 {
-		var sum uint64
-		for b := 0; b < d.nblocks; b++ {
-			cl, err := r.uvarint()
-			if err != nil {
-				return nil, err
-			}
-			sum += cl
-			d.compLen[b] = int(cl)
+	var sum uint64
+	for b := 0; b < d.nblocks; b++ {
+		cl, err := r.uvarint()
+		if err != nil {
+			return nil, err
 		}
-		if sum != uint64(len(payload)-r.off) {
-			return nil, segErr("block streams claim %d bytes, %d remain", sum, len(payload)-r.off)
-		}
-		off := 0
-		for b := 0; b < d.nblocks; b++ {
-			d.compOff[b] = off
-			off += d.compLen[b]
-		}
-	} else {
-		d.compLen[0] = len(payload) - r.off
+		sum += cl
+		d.compLen[b] = int(cl)
+	}
+	if sum != uint64(len(payload)-r.off) {
+		return nil, segErr("block streams claim %d bytes, %d remain", sum, len(payload)-r.off)
+	}
+	off := 0
+	for b := 0; b < d.nblocks; b++ {
+		d.compOff[b] = off
+		off += d.compLen[b]
 	}
 	d.streams = payload[r.off:]
 	return d, nil
@@ -990,8 +918,8 @@ func readRowList(r *segReader, count int) ([]uint32, error) {
 
 // decodeIndex decodes and validates the index column: ascending in-domain
 // values, strictly ascending row lists, and — for the five value families
-// — an exact partition of the rows (which is what makes the link/label
-// scatter total and the zone map's absence proofs sound).
+// — an exact partition of the rows (which is what makes the zone map's
+// absence proofs sound).
 func (sb *segBlob) decodeIndex() (*segIndex, error) {
 	payload, err := sb.col(segColIndex)
 	if err != nil {
@@ -1058,12 +986,11 @@ func (sb *segBlob) decodeIndex() (*segIndex, error) {
 // rowsAt materializes the selected rows (ascending row positions) into
 // StoredPackets, re-parsing summaries from the raw bytes. sel == nil
 // materializes every row. Only the data blocks the selection lands in are
-// inflated; bs (optional) serves and fills the decoded-block cache. v2
-// blobs read link/label per row from the dictionary column; v1 blobs
-// invert the index column into scatter arrays. Materialized rows never
-// alias the blob's backing bytes, so the caller may unmap them once
-// rowsAt returns.
-func (sb *segBlob) rowsAt(sel []uint32, ix *segIndex, ids []PacketID, tss []time.Duration, bs *blockSource) ([]StoredPacket, error) {
+// inflated; bs (optional) serves and fills the decoded-block cache.
+// Link and label come per row from the dictionary column. Materialized
+// rows never alias the blob's backing bytes, so the caller may unmap them
+// once rowsAt returns.
+func (sb *segBlob) rowsAt(sel []uint32, ids []PacketID, tss []time.Duration, bs *blockSource) ([]StoredPacket, error) {
 	act, err := sb.decodeActor()
 	if err != nil {
 		return nil, err
@@ -1072,15 +999,9 @@ func (sb *segBlob) rowsAt(sel []uint32, ix *segIndex, ids []PacketID, tss []time
 	if err != nil {
 		return nil, err
 	}
-	var dict *segDict
-	var links, labels []uint64
-	if sb.version >= segVersion2 {
-		if dict, err = sb.decodeDict(); err != nil {
-			return nil, err
-		}
-	} else {
-		links = ix.scatter(3, sb.count)
-		labels = ix.scatter(4, sb.count)
+	dict, err := sb.decodeDict()
+	if err != nil {
+		return nil, err
 	}
 	n := sb.count
 	if sel != nil {
@@ -1104,13 +1025,8 @@ func (sb *segBlob) rowsAt(sel []uint32, ix *segIndex, ids []PacketID, tss []time
 		}
 		sp := &out[i]
 		sp.ID, sp.TS = ids[row], tss[row]
-		if dict != nil {
-			sp.Link = uint16(dict.at(0, row))
-			sp.Label = traffic.Label(dict.at(1, row))
-		} else {
-			sp.Link = uint16(links[row])
-			sp.Label = traffic.Label(labels[row])
-		}
+		sp.Link = uint16(dict.at(0, row))
+		sp.Label = traffic.Label(dict.at(1, row))
 		sp.Actor = act[row/8]&(1<<(row%8)) != 0
 		sp.Data = d.rowBytes(blockBuf, curBlock, row)
 		_ = p.Parse(sp.Data, &sp.Summary)
@@ -1118,22 +1034,24 @@ func (sb *segBlob) rowsAt(sel []uint32, ix *segIndex, ids []PacketID, tss []time
 	return out, nil
 }
 
-// decodeBlobRows fully decodes a parsed blob back into its row run.
+// decodeBlobRows fully decodes a parsed blob back into its row run. The
+// rows never read the index column, but a full decode still validates it:
+// a segment with a corrupt index must fail here, not only on a query that
+// happens to consult its posting lists.
 func (sb *segBlob) decodeBlobRows(bs *blockSource) ([]StoredPacket, error) {
 	ids, tss, err := sb.decodeTimeID()
 	if err != nil {
 		return nil, err
 	}
-	ix, err := sb.decodeIndex()
-	if err != nil {
+	if _, err := sb.decodeIndex(); err != nil {
 		return nil, err
 	}
-	return sb.rowsAt(nil, ix, ids, tss, bs)
+	return sb.rowsAt(nil, ids, tss, bs)
 }
 
 // decodeSegmentRows fully decodes a segment blob back into its row run —
 // the scan-reference and compaction path, and the fuzz target's identity
-// check: decode(encode(rows)) == rows for every valid blob, v1 or v2.
+// check: decode(encode(rows)) == rows for every valid blob.
 func decodeSegmentRows(b []byte) ([]StoredPacket, error) {
 	sb, err := parseSegment(b)
 	if err != nil {

@@ -1,7 +1,9 @@
 package datastore
 
 import (
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"reflect"
 	"testing"
 	"time"
@@ -9,10 +11,10 @@ import (
 	"campuslab/internal/traffic"
 )
 
-// fuzzSeedSegment builds a small deterministic segment blob in the given
-// format version for the fuzz seed corpus (mirrors segTestRows but
-// without *testing.T plumbing).
-func fuzzSeedSegment(n int, version uint16) []byte {
+// fuzzSeedSegment builds a small deterministic segment blob of n rows for
+// the fuzz seed corpus (mirrors segTestRows but without *testing.T
+// plumbing).
+func fuzzSeedSegment(n int) []byte {
 	g := traffic.NewCampus(traffic.Profile{
 		Plan: traffic.DefaultPlan(8), FlowsPerSecond: 40,
 		Duration: time.Second, Seed: 7,
@@ -27,11 +29,20 @@ func fuzzSeedSegment(n int, version uint16) []byte {
 		rows = append(rows, *sp)
 		return len(rows) < n
 	})
-	blob, _, err := encodeSegmentVer(rows, version)
+	blob, _, err := encodeSegment(rows)
 	if err != nil {
 		panic(err)
 	}
 	return blob
+}
+
+// restampSegVersion returns a copy of blob with its header version set to
+// v and the header checksum recomputed, so only the version is wrong.
+func restampSegVersion(blob []byte, v uint16) []byte {
+	out := append([]byte(nil), blob...)
+	binary.LittleEndian.PutUint16(out[4:6], v)
+	binary.LittleEndian.PutUint32(out[44:48], crc32.ChecksumIEEE(out[:44]))
+	return out
 }
 
 // FuzzSegmentDecode: for arbitrary bytes, the segment decoder must never
@@ -41,18 +52,24 @@ func fuzzSeedSegment(n int, version uint16) []byte {
 // guaranteed for encoder-canonical inputs: DEFLATE admits more than one
 // valid stream for the same payload.)
 func FuzzSegmentDecode(f *testing.F) {
-	// Both format versions seed the corpus: v2 (block-compressed +
-	// dictionary columns) exercises the block/dict validators, v1 the
-	// legacy single-stream path. Crossing over a few hundred rows makes
-	// the v2 seed span multiple blocks.
-	for _, version := range []uint16{segVersion2, segVersion1} {
-		valid := fuzzSeedSegment(300, version)
-		f.Add(valid)
-		f.Add(valid[:len(valid)/2])
-		f.Add(valid[:segHeaderSize])
-		mut := append([]byte(nil), valid...)
-		mut[len(mut)/3] ^= 0x80
-		f.Add(mut)
+	// A few hundred rows make the main seed span multiple data blocks, so
+	// it and its damaged copies exercise the block and dictionary
+	// validators.
+	valid := fuzzSeedSegment(300)
+	f.Add(valid)
+	f.Add(valid[:len(valid)/2])
+	f.Add(valid[:segHeaderSize])
+	mut := append([]byte(nil), valid...)
+	mut[len(mut)/3] ^= 0x80
+	f.Add(mut)
+	// Geometry edges: one row (zero-width dictionary codes, a one-row
+	// block) and exactly one full block.
+	f.Add(fuzzSeedSegment(1))
+	f.Add(fuzzSeedSegment(segBlockRows))
+	// Well-formed headers stamped with a version other than the one the
+	// reader accepts, including the retired single-stream version 1.
+	for _, v := range []uint16{1, 3} {
+		f.Add(restampSegVersion(valid, v))
 	}
 	f.Add([]byte("CLSG"))
 	f.Add([]byte{})

@@ -3,6 +3,7 @@ package datastore
 import (
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -109,6 +110,14 @@ func TestSegmentCorruptionDetected(t *testing.T) {
 			t.Fatalf("flip at offset %d: error does not wrap ErrSegmentCorrupt: %v", off, err)
 		}
 	}
+	// A header that is intact except for its version — the retired
+	// single-stream version 1 or an unknown one — is refused up front.
+	for _, v := range []uint16{1, 3} {
+		_, err := decodeSegmentRows(restampSegVersion(blob, v))
+		if !errors.Is(err, ErrSegmentCorrupt) || !strings.Contains(err.Error(), "unsupported version") {
+			t.Fatalf("version %d header: got %v, want unsupported version", v, err)
+		}
+	}
 }
 
 func TestSegmentTruncationDetected(t *testing.T) {
@@ -206,7 +215,7 @@ func TestSegmentSelectiveDecodeSkipsData(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := sb.rowsAt(cand, ix, ids, tss, nil)
+	got, err := sb.rowsAt(cand, ids, tss, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -123,8 +123,8 @@ type Store struct {
 	events          []eventlog.Event // time-ordered after AddEvents sorts
 	eventIndexBytes uint64
 
-	// persistFaults injects failures into SaveFile's write/sync/rename
-	// steps for crash-safety tests (nil = healthy).
+	// persistFaults injects failures into SaveFile's write, fsync, rename
+	// and directory-fsync steps for crash-safety tests (nil = healthy).
 	persistFaults faults.Injector
 
 	// scanQuery forces Select/Count onto the serial full-scan reference

@@ -1,6 +1,7 @@
 package datastore
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -68,9 +69,8 @@ type TierPolicy struct {
 	// Retain bounds cold history: segments whose newest packet is older
 	// than lastTS-Retain are deleted by the compactor (0 = keep forever).
 	Retain time.Duration
-	// Format selects the segment writer version: 0 (default) and 2 write
-	// the v2 block-compressed + dictionary format; 1 writes the legacy
-	// single-stream format. Readers accept both regardless.
+	// Format names the segment format and must be 0 or 2: there is one
+	// format (segment.go), and EnableTiering rejects any other value.
 	Format int
 	// CacheBytes bounds the decoded-block LRU cache serving cold queries
 	// (0 = disabled: every query inflates what it needs and discards it).
@@ -86,9 +86,6 @@ func (p *TierPolicy) applyDefaults() {
 	}
 	if p.SegmentPackets <= 0 {
 		p.SegmentPackets = 32768
-	}
-	if p.Format == 0 {
-		p.Format = segVersion2
 	}
 }
 
@@ -250,51 +247,22 @@ const (
 
 func tierSegName(seq uint64) string { return fmt.Sprintf("seg-%016x%s", seq, segSuffix) }
 
-// writeFileAtomic writes name under dir via temp + fsync + rename and
-// syncs the directory, so the file is either absent or complete.
-func writeFileAtomic(dir, name string, data []byte) error {
-	f, err := os.CreateTemp(dir, name+".tmp")
-	if err != nil {
-		return err
-	}
-	tmp := f.Name()
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, filepath.Join(dir, name)); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return syncDir(dir)
-}
-
-
 // writeManifestLocked commits a new segment set + watermark. Caller holds
 // sealMu (segs may be the live slice — it is only mutated under sealMu).
 func (tr *tier) writeManifestLocked(sealedBelow PacketID, segs []*tierSegment) error {
+	le := binary.LittleEndian
 	b := []byte(tierManifestMag)
-	b = le16(b, tierManifestVer)
-	b = le16(b, 0)
-	b = le64(b, uint64(sealedBelow))
-	b = le64(b, tr.nextSeq)
-	b = le32(b, uint32(len(segs)))
+	b = le.AppendUint16(b, tierManifestVer)
+	b = le.AppendUint16(b, 0)
+	b = le.AppendUint64(b, uint64(sealedBelow))
+	b = le.AppendUint64(b, tr.nextSeq)
+	b = le.AppendUint32(b, uint32(len(segs)))
 	for _, sg := range segs {
-		b = le16(b, uint16(len(sg.name)))
+		b = le.AppendUint16(b, uint16(len(sg.name)))
 		b = append(b, sg.name...)
 	}
-	b = le32(b, crc32.ChecksumIEEE(b))
-	return writeFileAtomic(tr.dir, tierManifestName, b)
+	b = le.AppendUint32(b, crc32.ChecksumIEEE(b))
+	return writeFileDurable(tr.dir, tierManifestName, nil, writeBytes(b))
 }
 
 // loadManifest reads the tier manifest; ok=false means a fresh tier (no
@@ -308,28 +276,29 @@ func loadManifest(dir string) (sealedBelow PacketID, nextSeq uint64, names []str
 		}
 		return 0, 0, nil, false, rerr
 	}
+	le := binary.LittleEndian
 	bad := func(f string, a ...any) error {
 		return fmt.Errorf("datastore: tier manifest: %s", fmt.Sprintf(f, a...))
 	}
 	if len(b) < 4+2+2+8+8+4+4 || string(b[:4]) != tierManifestMag {
 		return 0, 0, nil, false, bad("bad magic or truncated")
 	}
-	body, sum := b[:len(b)-4], rd32(b[len(b)-4:])
+	body, sum := b[:len(b)-4], le.Uint32(b[len(b)-4:])
 	if crc32.ChecksumIEEE(body) != sum {
 		return 0, 0, nil, false, bad("checksum mismatch")
 	}
-	if v := rd16(b[4:]); v != tierManifestVer {
+	if v := le.Uint16(b[4:]); v != tierManifestVer {
 		return 0, 0, nil, false, bad("unsupported version %d", v)
 	}
-	sealedBelow = PacketID(rd64(b[8:]))
-	nextSeq = rd64(b[16:])
-	n := int(rd32(b[24:]))
+	sealedBelow = PacketID(le.Uint64(b[8:]))
+	nextSeq = le.Uint64(b[16:])
+	n := int(le.Uint32(b[24:]))
 	off := 28
 	for i := 0; i < n; i++ {
 		if off+2 > len(body) {
 			return 0, 0, nil, false, bad("truncated name table")
 		}
-		l := int(rd16(b[off:]))
+		l := int(le.Uint16(b[off:]))
 		off += 2
 		if off+l > len(body) {
 			return 0, 0, nil, false, bad("truncated name")
@@ -357,7 +326,7 @@ func (s *Store) EnableTiering(pol TierPolicy) error {
 		return errors.New("datastore: tiering already enabled")
 	}
 	pol.applyDefaults()
-	if pol.Format != segVersion1 && pol.Format != segVersion2 {
+	if pol.Format != 0 && pol.Format != segVersion {
 		return fmt.Errorf("datastore: unsupported tier segment format %d", pol.Format)
 	}
 	if err := os.MkdirAll(pol.Dir, 0o755); err != nil {
@@ -591,15 +560,8 @@ func (s *Store) sealTo(tr *tier, limit PacketID, wait bool) (int, error) {
 	if len(runs) == 0 {
 		return 0, nil
 	}
-	total := 0
-	for _, r := range runs {
-		total += len(r)
-	}
-	merged := make([]StoredPacket, 0, total)
-	cur := newMergeCursor(runs)
-	for sp := cur.next(); sp != nil; sp = cur.next() {
-		merged = append(merged, *sp)
-	}
+	merged := mergeSelect(runs, 0)
+	total := len(merged)
 	newSegs, err := tr.writeSegments(merged, false)
 	if err != nil {
 		return 0, err
@@ -667,24 +629,20 @@ func (tr *tier) writeSegments(rows []StoredPacket, compact bool) ([]*tierSegment
 		nchunks++
 	}
 	size := (n + nchunks - 1) / nchunks // balanced: no sliver tail
-	encode := encodeSegment
-	if tr.policy.Format == segVersion1 {
-		encode = encodeSegmentV1
-	}
 	var out []*tierSegment
 	for lo := 0; lo < n; lo += size {
 		hi := lo + size
 		if hi > n {
 			hi = n
 		}
-		blob, meta, err := encode(rows[lo:hi])
+		blob, meta, err := encodeSegment(rows[lo:hi])
 		if err != nil {
 			return nil, err
 		}
 		seq := tr.nextSeq
 		name := tierSegName(seq)
 		tr.nextSeq++
-		if err := writeFileAtomic(tr.dir, name, blob); err != nil {
+		if err := writeFileDurable(tr.dir, name, nil, writeBytes(blob)); err != nil {
 			return nil, err
 		}
 		out = append(out, &tierSegment{name: name, seq: seq, meta: meta, fileBytes: uint64(len(blob))})
@@ -725,16 +683,7 @@ func (s *Store) CompactTier() (int, error) {
 			runs = append(runs, rows)
 			oldBytes += sg.fileBytes
 		}
-		total := 0
-		for _, r := range runs {
-			total += len(r)
-		}
-		merged := make([]StoredPacket, 0, total)
-		cur := newMergeCursor(runs)
-		for sp := cur.next(); sp != nil; sp = cur.next() {
-			merged = append(merged, *sp)
-		}
-		newSegs, err := tr.writeSegments(merged, true)
+		newSegs, err := tr.writeSegments(mergeSelect(runs, 0), true)
 		if err != nil {
 			return replaced, err
 		}
@@ -849,9 +798,6 @@ func (s *Store) RetainCold(before time.Duration) (int, error) {
 	for _, sg := range drop {
 		os.Remove(filepath.Join(tr.dir, sg.name))
 	}
-	tr.mu.Lock()
-	tr.publishLocked()
-	tr.mu.Unlock()
 	obsTierRetained.Add(uint64(len(drop)))
 	return len(drop), nil
 }
@@ -997,6 +943,16 @@ func (tr *tier) segsInWindow(from, to time.Duration) []*tierSegment {
 	return out
 }
 
+// rowSpan lists the row positions lo..hi-1, the selection of a plan with
+// no index keys.
+func rowSpan(lo, hi int) []uint32 {
+	sel := make([]uint32, hi-lo)
+	for i := range sel {
+		sel[i] = uint32(lo + i)
+	}
+	return sel
+}
+
 // tsWindow returns the row interval [rlo, rhi) of tss within [from, to).
 func tsWindow(tss []time.Duration, from, to time.Duration) (int, int) {
 	lo := 0
@@ -1129,13 +1085,10 @@ func (s *Store) segSelect(tr *tier, sg *tierSegment, f *Filter, from, to time.Du
 		sel = cand
 		qs.rowsScanned.Add(uint64(len(cand)))
 	} else {
-		sel = make([]uint32, rhi-rlo)
-		for i := range sel {
-			sel[i] = uint32(rlo + i)
-		}
+		sel = rowSpan(rlo, rhi)
 		qs.rowsScanned.Add(uint64(rhi - rlo))
 	}
-	rows, err := sb.rowsAt(sel, ix, ids, tss, tr.blockSourceFor(sg))
+	rows, err := sb.rowsAt(sel, ids, tss, tr.blockSourceFor(sg))
 	if err != nil {
 		return nil, err
 	}
@@ -1207,7 +1160,7 @@ func (s *Store) segCount(tr *tier, sg *tierSegment, f *Filter, from, to time.Dur
 		if len(cand) == 0 {
 			return 0, nil
 		}
-		rows, err := sb.rowsAt(cand, ix, ids, tss, tr.blockSourceFor(sg))
+		rows, err := sb.rowsAt(cand, ids, tss, tr.blockSourceFor(sg))
 		if err != nil {
 			return 0, err
 		}
@@ -1220,11 +1173,7 @@ func (s *Store) segCount(tr *tier, sg *tierSegment, f *Filter, from, to time.Dur
 		return n, nil
 	}
 	qs.rowsScanned.Add(uint64(rhi - rlo))
-	sel := make([]uint32, rhi-rlo)
-	for i := range sel {
-		sel[i] = uint32(rlo + i)
-	}
-	rows, err := sb.rowsAt(sel, ix, ids, tss, tr.blockSourceFor(sg))
+	rows, err := sb.rowsAt(rowSpan(rlo, rhi), ids, tss, tr.blockSourceFor(sg))
 	if err != nil {
 		return 0, err
 	}
@@ -1278,29 +1227,16 @@ func (s *Store) segPacket(tr *tier, sg *tierSegment, id PacketID) (StoredPacket,
 	if row < 0 {
 		return StoredPacket{}, false
 	}
-	ix, err := sb.decodeIndex()
-	if err != nil {
+	// The lookup reads no posting list, but a corrupt index column still
+	// counts as a failed segment read, as it does on every other path.
+	if _, err := sb.decodeIndex(); err != nil {
 		tr.noteErr(err)
 		return StoredPacket{}, false
 	}
-	rows, err := sb.rowsAt([]uint32{uint32(row)}, ix, ids, tss, tr.blockSourceFor(sg))
+	rows, err := sb.rowsAt([]uint32{uint32(row)}, ids, tss, tr.blockSourceFor(sg))
 	if err != nil {
 		tr.noteErr(err)
 		return StoredPacket{}, false
 	}
 	return rows[0], true
 }
-
-// Little-endian append/read helpers for the manifest.
-func le16(b []byte, v uint16) []byte { return append(b, byte(v), byte(v>>8)) }
-func le32(b []byte, v uint32) []byte {
-	return append(b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-}
-func le64(b []byte, v uint64) []byte {
-	return le32(le32(b, uint32(v)), uint32(v>>32))
-}
-func rd16(b []byte) uint16 { return uint16(b[0]) | uint16(b[1])<<8 }
-func rd32(b []byte) uint32 {
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
-}
-func rd64(b []byte) uint64 { return uint64(rd32(b)) | uint64(rd32(b[4:]))<<32 }

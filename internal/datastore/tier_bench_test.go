@@ -15,8 +15,7 @@ import (
 //	go test -bench='BenchmarkSeal|BenchmarkSegmentQuery|BenchmarkColdSelect|BenchmarkEvictBefore' ./internal/datastore
 //
 // BenchmarkSegmentQuery sweeps query shape (selective/absent/broad) ×
-// data placement (hot/cold) × segment format (v1/v2, cold only) ×
-// operation (count/select): `absent` is the zone-map prune-hit case
+// data placement (hot/cold) × operation (count/select): `absent` is the zone-map prune-hit case
 // (every segment skipped without touching a column), `selective` is the
 // prune-miss + posting-intersection case — on this fixture a needle, a
 // few dozen rows in 20k, so op=select isolates the block-skipping win —
@@ -33,22 +32,15 @@ var tierBenchFrames = sync.OnceValue(func() []traffic.Frame {
 	return frames
 })
 
-// coldBenchKey keys one fully sealed store per (segment size, format,
-// cache budget) combination.
-type coldBenchKey struct {
-	segPackets int
-	format     int
-	cacheBytes int64
-}
-
-// coldBenchStore builds (once) the fully sealed store for a key. The
-// segment directory must outlive the benchmark that happens to build the
-// store (the stores are shared), so it cannot come from b.TempDir().
+// coldBenchStore builds (once per decoded-block cache budget) the fully
+// sealed store, cut into 4096-row segments. The segment directory must
+// outlive the benchmark that happens to build the store (the stores are
+// shared), so it cannot come from b.TempDir().
 var coldBenchStores sync.Map
 
-func coldBenchStore(b *testing.B, key coldBenchKey) *Store {
+func coldBenchStore(b *testing.B, cacheBytes int64) *Store {
 	b.Helper()
-	if st, ok := coldBenchStores.Load(key); ok {
+	if st, ok := coldBenchStores.Load(cacheBytes); ok {
 		return st.(*Store)
 	}
 	dir, err := os.MkdirTemp("", "campuslab-tier-bench-*")
@@ -57,8 +49,7 @@ func coldBenchStore(b *testing.B, key coldBenchKey) *Store {
 	}
 	st := NewSharded(4)
 	if err := st.EnableTiering(TierPolicy{
-		Dir: dir, SegmentPackets: key.segPackets, MinSealPackets: 1,
-		Format: key.format, CacheBytes: key.cacheBytes,
+		Dir: dir, SegmentPackets: 4096, MinSealPackets: 1, CacheBytes: cacheBytes,
 	}); err != nil {
 		b.Fatal(err)
 	}
@@ -68,7 +59,7 @@ func coldBenchStore(b *testing.B, key coldBenchKey) *Store {
 	if _, err := st.SealHot(0); err != nil {
 		b.Fatal(err)
 	}
-	coldBenchStores.Store(key, st)
+	coldBenchStores.Store(cacheBytes, st)
 	return st
 }
 
@@ -120,10 +111,7 @@ func benchStoreOp(b *testing.B, st *Store, f *Filter, op string, cold bool) {
 }
 
 // BenchmarkSegmentQuery: the cold rows live in compressed columns; the
-// sweep shows what each query shape pays for them relative to hot RAM,
-// and — per format — what block-compressed v2 saves over single-stream
-// v1. The ISSUE-10 acceptance ratio is cold selective op=select, fmt=v2
-// versus fmt=v1.
+// sweep shows what each query shape pays for them relative to hot RAM.
 func BenchmarkSegmentQuery(b *testing.B) {
 	cases := []struct{ name, expr string }{
 		{"selective", "proto == udp && dst.port == 53"}, // prune-miss needle: zones admit, index narrows to ~40 rows
@@ -137,17 +125,15 @@ func BenchmarkSegmentQuery(b *testing.B) {
 			b.Run(fmt.Sprintf("expr=%s/tier=hot/op=%s", c.name, op), func(b *testing.B) {
 				benchStoreOp(b, queryBenchStore(b, 4), f, op, false)
 			})
-			for _, format := range []int{segVersion1, segVersion2} {
-				st := coldBenchStore(b, coldBenchKey{segPackets: 4096, format: format})
-				b.Run(fmt.Sprintf("expr=%s/tier=cold/fmt=v%d/op=%s", c.name, format, op), func(b *testing.B) {
-					benchStoreOp(b, st, f, op, true)
-				})
-			}
+			st := coldBenchStore(b, 0)
+			b.Run(fmt.Sprintf("expr=%s/tier=cold/op=%s", c.name, op), func(b *testing.B) {
+				benchStoreOp(b, st, f, op, true)
+			})
 		}
 	}
 	// Prune accounting sanity: the absent query must have skipped every
 	// segment via zone maps.
-	st := coldBenchStore(b, coldBenchKey{segPackets: 4096, format: segVersion2})
+	st := coldBenchStore(b, 0)
 	pre := st.TierStats()
 	st.Count(MustFilter("dst.port == 59999"))
 	post := st.TierStats()
@@ -162,13 +148,13 @@ func BenchmarkSegmentQuery(b *testing.B) {
 func BenchmarkColdSelect(b *testing.B) {
 	f := MustFilter("proto == udp && dst.port == 53")
 	cases := []struct {
-		name string
-		key  coldBenchKey
-		hot  bool
+		name       string
+		cacheBytes int64
+		hot        bool
 	}{
 		{name: "tier=hot", hot: true},
-		{name: "tier=cold/cache=off", key: coldBenchKey{segPackets: 4096, format: segVersion2}},
-		{name: "tier=cold/cache=on", key: coldBenchKey{segPackets: 4096, format: segVersion2, cacheBytes: 64 << 20}},
+		{name: "tier=cold/cache=off"},
+		{name: "tier=cold/cache=on", cacheBytes: 64 << 20},
 	}
 	for _, c := range cases {
 		c := c
@@ -177,8 +163,8 @@ func BenchmarkColdSelect(b *testing.B) {
 			if c.hot {
 				st = queryBenchStore(b, 4)
 			} else {
-				st = coldBenchStore(b, c.key)
-				if c.key.cacheBytes > 0 {
+				st = coldBenchStore(b, c.cacheBytes)
+				if c.cacheBytes > 0 {
 					st.Select(f, 0) // warm the cache outside the timer
 				}
 			}
@@ -198,7 +184,7 @@ func BenchmarkColdSelect(b *testing.B) {
 				if ts.Err != nil {
 					b.Fatal(ts.Err)
 				}
-				if c.key.cacheBytes > 0 && ts.CacheHits == 0 {
+				if c.cacheBytes > 0 && ts.CacheHits == 0 {
 					b.Fatal("warm-cache benchmark never hit the cache")
 				}
 			}

@@ -12,9 +12,9 @@ import (
 	"time"
 )
 
-// Tests for the cold-tier query fast path: v1/v2 format equivalence, the
-// decoded-block cache, binary-search window pruning and block-isolated
-// partial decode.
+// Tests for the cold-tier query fast path: segment format equivalence,
+// the decoded-block cache, binary-search window pruning and
+// block-isolated partial decode.
 
 // tierFmtPolicy is aggressiveTier pinned to a segment format and cache
 // budget.
@@ -46,12 +46,27 @@ func diskSegVersions(t *testing.T, dir string) map[uint16]int {
 	return vers
 }
 
-// TestTierFormatEquivalence is the cross-version property: both segment
-// formats, with and without the decoded-block cache and the mmap read
+// TestTierFormatEquivalence is the read-path property: the segment
+// format, with and without the decoded-block cache and the mmap read
 // path, must answer every query byte-identically to an untiered store
 // across shard and worker counts — through the planner, the scan
-// reference, time windows, and compaction.
+// reference, time windows, and compaction. Format 2 and the default 0
+// both name that one format; any other value is refused.
 func TestTierFormatEquivalence(t *testing.T) {
+	// Format 1 is the retired single-stream writer: refused, with no
+	// segment written and the store left untiered.
+	rejectDir := t.TempDir()
+	rejected := NewSharded(1)
+	if err := rejected.EnableTiering(tierFmtPolicy(rejectDir, 1, 0)); err == nil {
+		t.Fatal("EnableTiering accepted segment format 1")
+	}
+	if vers := diskSegVersions(t, rejectDir); len(vers) != 0 {
+		t.Fatalf("rejected policy wrote segments: %v", vers)
+	}
+	if rejected.TierStats().Enabled {
+		t.Fatal("rejected policy left the store tiered")
+	}
+
 	ref := ingestTiered(t, 4, 4, TierPolicy{})
 	want := tierFingerprint(t, ref)
 	if want.total == 0 {
@@ -68,13 +83,12 @@ func TestTierFormatEquivalence(t *testing.T) {
 		// toggle, not a format, so one cell buys the coverage.
 		full bool
 	}{
-		{name: "v1", format: segVersion1, full: true},
-		{name: "v2", format: segVersion2, full: true},
+		{name: "v2", format: segVersion, full: true},
 		// The cache budget must hold the decoded working set: a strict
 		// scan cycle one block over budget evicts every block before its
 		// reuse (0 hits), which the hit assertion below would misread.
-		{name: "v2-cache", format: segVersion2, cache: 64 << 20},
-		{name: "v2-nommap", format: segVersion2, noMmap: true},
+		{name: "v2-cache", cache: 64 << 20},
+		{name: "v2-nommap", noMmap: true},
 	}
 	for _, tc := range cases {
 		shardCases := []int{4}
@@ -99,8 +113,8 @@ func TestTierFormatEquivalence(t *testing.T) {
 					if ts := s.TierStats(); ts.Segments == 0 {
 						t.Fatalf("no seal happened: %+v", ts)
 					}
-					if vers := diskSegVersions(t, dir); vers[uint16(tc.format)] == 0 || len(vers) != 1 {
-						t.Fatalf("on-disk segment versions %v, want only v%d", vers, tc.format)
+					if vers := diskSegVersions(t, dir); vers[segVersion] == 0 || len(vers) != 1 {
+						t.Fatalf("on-disk segment versions %v, want only v%d", vers, segVersion)
 					}
 					compareTierPrints(t, tc.name, want, tierFingerprint(t, s))
 
@@ -299,7 +313,7 @@ func TestTierCacheInvalidation(t *testing.T) {
 	// The budget must hold the whole decoded working set: LRU thrashes on
 	// a strict scan cycle one block over budget (0 hits), which is not
 	// what this test is about.
-	s := ingestTiered(t, 4, 4, tierFmtPolicy(t.TempDir(), segVersion2, 64<<20))
+	s := ingestTiered(t, 4, 4, tierFmtPolicy(t.TempDir(), segVersion, 64<<20))
 	f, err := ParseFilter("len > 100")
 	if err != nil {
 		t.Fatal(err)
@@ -398,22 +412,18 @@ func TestSegmentPartialDecodeIsolatesCorruptBlock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix, err := sb2.decodeIndex()
-	if err != nil {
-		t.Fatal(err)
-	}
 	sel := make([]uint32, 10)
 	for i := range sel {
 		sel[i] = uint32(i)
 	}
-	got, err := sb2.rowsAt(sel, ix, ids, tss, nil)
+	got, err := sb2.rowsAt(sel, ids, tss, nil)
 	if err != nil {
 		t.Fatalf("selective decode of clean blocks failed: %v", err)
 	}
 	if !reflect.DeepEqual(got, rows[:10]) {
 		t.Fatal("selective decode of clean blocks returned wrong rows")
 	}
-	if _, err := sb2.rowsAt([]uint32{uint32(len(rows) - 1)}, ix, ids, tss, nil); err == nil {
+	if _, err := sb2.rowsAt([]uint32{uint32(len(rows) - 1)}, ids, tss, nil); err == nil {
 		t.Fatal("decode touching the corrupt block succeeded")
 	}
 	if _, err := decodeSegmentRows(blob); err == nil {

@@ -28,8 +28,7 @@ var (
 )
 
 // blockKey identifies one decoded block: the segment's immutable file
-// sequence number plus the block index within its data column. v1
-// segments parse as a single block 0, so both formats share the cache.
+// sequence number plus the block index within its data column.
 type blockKey struct {
 	seq   uint64
 	block int

@@ -5,9 +5,11 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
+	"campuslab/internal/faults"
 	"campuslab/internal/traffic"
 )
 
@@ -688,36 +690,55 @@ func TestCheckpointCrashMidTruncateNoDuplicates(t *testing.T) {
 	st2.CloseWAL()
 }
 
-func TestRecoverLegacySnapshotName(t *testing.T) {
-	// Directories written before checkpoints were coverage-stamped hold a
-	// bare snapshot.clds; Recover must still read it, and the next
-	// checkpoint must upgrade the directory to the stamped layout.
+func TestCheckpointDirSyncFailureKeepsWAL(t *testing.T) {
+	// The snapshot file's fsync succeeds but the directory fsync after
+	// its rename fails, so the new directory entry may not survive a
+	// power cut. The checkpoint must fail and leave the WAL that covers
+	// the data on disk.
 	dir := t.TempDir()
-	st := NewSharded(2)
-	st.addBatch(walFrames(16, 37), nil, 1)
-	if err := st.SaveFile(filepath.Join(dir, SnapshotName)); err != nil {
-		t.Fatal(err)
-	}
-	ref := storeBytes(t, st)
-
-	st2, rs, err := Recover(DurableConfig{Dir: dir, Shards: 2})
+	cfg := DurableConfig{Dir: dir, Fsync: FsyncAlways, Shards: 2}
+	st, _, err := Recover(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rs.SnapshotPackets != 16 {
-		t.Fatalf("snapshot packets = %d, want 16", rs.SnapshotPackets)
-	}
-	if !bytes.Equal(ref, storeBytes(t, st2)) {
-		t.Fatal("legacy snapshot recovery diverged")
-	}
-	if err := st2.CheckpointDir(dir); err != nil {
+	frames := walFrames(40, 47)
+	if _, err := st.AddBatch(frames[:20], 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, SnapshotName)); !os.IsNotExist(err) {
-		t.Fatal("legacy snapshot not swept by the stamped checkpoint")
+	if _, err := st.AddBatch(frames[20:], 1); err != nil {
+		t.Fatal(err)
 	}
-	if _, covered, ok, _ := findSnapshot(dir); !ok || covered == 0 {
-		t.Fatalf("stamped snapshot missing after checkpoint (ok=%v covered=%d)", ok, covered)
+	segs, err := listSegments(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.SetFaultInjector(faults.NewSchedule().FailCalls(faults.OpStoreSync, 2, 2, faults.KindPermanent))
+	if err := st.CheckpointDir(dir); err == nil {
+		t.Fatal("checkpoint succeeded although its directory sync failed")
+	}
+	st.SetFaultInjector(nil)
+	after, err := listSegments(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(segs, after) {
+		t.Fatalf("failed checkpoint truncated the WAL: segments %v -> %v", segs, after)
+	}
+	if ws := st.WALStats(); ws.Records != 2 {
+		t.Fatalf("WAL lag after failed checkpoint = %d records, want 2", ws.Records)
+	}
+	ref := storeBytes(t, st)
+	st.CloseWAL()
+
+	st2, _, err := Recover(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := st2.Stats().Packets; got != uint64(len(frames)) {
+		t.Fatalf("recovered %d packets, want %d acked", got, len(frames))
+	}
+	if !bytes.Equal(ref, storeBytes(t, st2)) {
+		t.Fatal("recovered store differs from acknowledged state")
 	}
 	st2.CloseWAL()
 }
@@ -746,13 +767,14 @@ func TestSerialIngestRefusesAckOnWedgedWAL(t *testing.T) {
 }
 
 func TestRemoveStaleTemps(t *testing.T) {
+	const base = "snap.clds"
 	dir := t.TempDir()
-	for _, name := range []string{SnapshotName + ".tmp123", SnapshotName + ".tmp9", "other.file"} {
+	for _, name := range []string{base + ".tmp123", base + ".tmp9", "other.file"} {
 		if err := os.WriteFile(filepath.Join(dir, name), []byte("x"), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if n := RemoveStaleTemps(dir, SnapshotName); n != 2 {
+	if n := RemoveStaleTemps(dir, base); n != 2 {
 		t.Fatalf("removed %d temps, want 2", n)
 	}
 	if _, err := os.Stat(filepath.Join(dir, "other.file")); err != nil {

@@ -51,7 +51,8 @@ const (
 	OpInstall = "dataplane.install"
 	// OpStoreWrite is one buffered write during a datastore snapshot save.
 	OpStoreWrite = "store.write"
-	// OpStoreSync is the pre-rename fsync of a snapshot temp file.
+	// OpStoreSync is one fsync while publishing a snapshot: first the
+	// temp file before the rename, then its directory after it.
 	OpStoreSync = "store.sync"
 	// OpStoreRename is the atomic rename publishing a snapshot.
 	OpStoreRename = "store.rename"

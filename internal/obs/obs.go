@@ -492,8 +492,7 @@ const (
 	StageCallsName = "campuslab_stage_calls_total"
 
 	// ShardContentionName counts contended datastore shard-lock
-	// acquisitions; defined here so the telemetry compatibility view and
-	// the datastore write the same series.
+	// acquisitions (written by the datastore).
 	ShardContentionName = "campuslab_store_shard_contention_total"
 
 	// Fleet ingest counter names (registered by internal/fleet); defined

@@ -56,10 +56,10 @@ go test -run=NONE -bench=BenchmarkEnsembleInference -benchtime=20x ./internal/da
 echo "==> bench smoke (store query engine: index vs scan)"
 go test -run=NONE -bench='BenchmarkSelect$|BenchmarkCount$' -benchtime=5x ./internal/datastore
 
-echo "==> bench smoke (cold tier: seal, segment query sweep v1/v2, cache, eviction)"
+echo "==> bench smoke (cold tier: seal, hot-vs-cold segment query sweep, cache, eviction)"
 go test -run=NONE -bench='BenchmarkSeal$|BenchmarkSegmentQuery|BenchmarkColdSelect|BenchmarkEvictBefore' -benchtime=2x ./internal/datastore
 
-echo "==> tiered-store equivalence gate (tiered == untiered, byte for byte, both segment formats)"
+echo "==> tiered-store equivalence gate (tiered == untiered, byte for byte, with and without block cache and mmap)"
 go test -run 'TestTieredStoreEquivalence|TestTierFormatEquivalence' -short ./internal/datastore
 
 echo "==> tier cache race gate (queries vs seal/compact churn with the block cache on)"
@@ -77,8 +77,8 @@ go test -run=FuzzFleetFrame -fuzz=FuzzFleetFrame -fuzztime=5s ./internal/fleet
 echo "==> fleet crash gate (torn mid-batch cut: all-or-nothing, retry never duplicates, acked == durable)"
 go test -run 'TestCrashMidBatchDurability|TestServerDedupesRetriedBatch|TestServerRejectsProtocolViolations' ./internal/fleet
 
-echo "==> crash-recovery gate (kill -9 mid-ingest must lose nothing acked)"
-go test -run 'TestWALCrashKill9|TestRecoverTornThenCrashAgain|TestConcurrentIngestCheckpointQuery' ./internal/datastore
+echo "==> crash-recovery gate (kill -9 mid-ingest must lose nothing acked; a failed checkpoint keeps the WAL)"
+go test -run 'TestWALCrashKill9|TestRecoverTornThenCrashAgain|TestConcurrentIngestCheckpointQuery|TestCheckpointDirSyncFailureKeepsWAL' ./internal/datastore
 
 echo "==> tier crash gate (kill -9 mid-seal/mid-compact must lose nothing acked)"
 go test -run 'TestTierCrashKill9|TestTierCrashSwapEquivalence' ./internal/datastore
